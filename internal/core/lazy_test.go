@@ -77,10 +77,16 @@ func buildScatteredStore(t *testing.T, rng *rand.Rand) *Store {
 // lazyParityQueries is the fixed query mix of the parity property: full
 // scans, bound positions, a join, and a union — enough shapes to exercise
 // morsel partitioning, constant resolution through the shared dictionary,
-// and cross-unit joins.
-func lazyParityQueries(rng *rand.Rand) []string {
+// and cross-unit joins — plus the star joins whose probes take the batched
+// path: a shared-subject star with FILTER and GROUP BY/COUNT/SUM, and a star
+// on a subject several units hold (spread).
+func lazyParityQueries(rng *rand.Rand, spread rdf.Term) []string {
 	rel := model.AllRelations()[rng.Intn(len(model.AllRelations()))].IRI().Value
 	return []string{
+		`SELECT ?s (COUNT(?b) AS ?n) (SUM(?c) AS ?total) WHERE {
+  ?s ?p ?a . ?s ?q ?b . ?s ?r ?c . FILTER(?p != ?q) } GROUP BY ?s`,
+		fmt.Sprintf(`SELECT ?p ?o ?q ?x ?y WHERE { <%s> ?p ?o . <%s> ?q ?x . OPTIONAL { ?x ?r ?y } }`,
+			spread.Value, spread.Value),
 		`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`,
 		fmt.Sprintf(`SELECT ?s ?o WHERE { ?s <urn:p%d> ?o }`, rng.Intn(6)),
 		fmt.Sprintf(`SELECT ?p ?o WHERE { <urn:n%d> ?p ?o }`, rng.Intn(40)),
@@ -88,6 +94,41 @@ func lazyParityQueries(rng *rand.Rand) []string {
 		fmt.Sprintf(`SELECT ?a ?c WHERE { ?a <%s> ?b . ?b ?p ?c }`, rel),
 		fmt.Sprintf(`SELECT ?s WHERE { { ?s <urn:p%d> ?o } UNION { ?s <%s> ?o } }`, rng.Intn(6), rel),
 	}
+}
+
+// multiUnitSubject returns the subject the most units of the store hold
+// (ties to the smallest term), failing when none spans two units.
+func multiUnitSubject(t *testing.T, store *Store) rdf.Term {
+	t.Helper()
+	v, err := store.OpenLazy(CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := map[rdf.Term]int{}
+	for _, lu := range v.units {
+		du, err := v.loadUnit(lu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[rdf.Term]bool{}
+		du.snap.ForEachMatchIDs(rdf.NoID, rdf.NoID, rdf.NoID, func(s, _, _ rdf.ID) bool {
+			if term := du.snap.TermOf(s); !seen[term] {
+				seen[term] = true
+				units[term]++
+			}
+			return true
+		})
+	}
+	var best rdf.Term
+	for term, n := range units {
+		if n > units[best] || n == units[best] && rdf.TermLess(term, best) {
+			best = term
+		}
+	}
+	if units[best] < 2 {
+		t.Fatal("no subject spans two units")
+	}
+	return best
 }
 
 // TestLazyParityProperty is the out-of-core equivalence property: for random
@@ -109,7 +150,7 @@ func TestLazyParityProperty(t *testing.T) {
 			t.Fatalf("seed %d: layout lost its pack: %+v", seed, scan)
 		}
 		fullNT := ntBytes(t, full)
-		queries := lazyParityQueries(rng)
+		queries := lazyParityQueries(rng, multiUnitSubject(t, store))
 		eager := make([][]byte, len(queries))
 		for i, q := range queries {
 			eager[i] = queryBytes(t, full.Snapshot(), q, 2)
@@ -469,5 +510,289 @@ func TestLazyReadFaultInjection(t *testing.T) {
 	}
 	if g, _, err := warm.MaterializeGraph(2); err != nil || !bytes.Equal(baseline, ntBytes(t, g)) {
 		t.Fatalf("warm view across crash: err=%v (cache must serve)", err)
+	}
+}
+
+// withCrossUnitDuplicates adds one more loose unit holding a sample of the
+// store's triples again, so batches see triples duplicated across units.
+func withCrossUnitDuplicates(t *testing.T, store *Store, rng *rand.Rand) {
+	t.Helper()
+	var dup []rdf.Triple
+	for _, tr := range mustMerge(t, store).SortedTriples() {
+		if rng.Intn(3) == 0 {
+			dup = append(dup, tr)
+		}
+	}
+	if err := store.WriteDeltaSegment(30, 0, dup); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomBatch draws a probe batch: wildcard and bound positions, a variable
+// predicate, constants no unit holds, triples taken whole from the store
+// (some of them held by several units), and repeated patterns.
+func randomBatch(rng *rand.Rand, src *LazySource, triples []rdf.Triple, n int) [][3]rdf.ID {
+	id := func(t rdf.Term) rdf.ID { i, _ := src.TermID(t); return i }
+	var pats [][3]rdf.ID
+	for len(pats) < n {
+		tr := triples[rng.Intn(len(triples))]
+		switch rng.Intn(7) {
+		case 0:
+			pats = append(pats, [3]rdf.ID{id(tr.S), rdf.NoID, rdf.NoID})
+		case 1:
+			pats = append(pats, [3]rdf.ID{rdf.NoID, id(tr.P), rdf.NoID})
+		case 2:
+			pats = append(pats, [3]rdf.ID{id(tr.S), rdf.NoID, id(tr.O)}) // variable predicate
+		case 3:
+			pats = append(pats, [3]rdf.ID{id(tr.S), id(tr.P), id(tr.O)})
+		case 4:
+			absent := id(rdf.IRI(fmt.Sprintf("urn:absent%d", rng.Intn(3))))
+			pats = append(pats, [3]rdf.ID{absent, id(tr.P), rdf.NoID})
+		case 5:
+			pats = append(pats, [3]rdf.ID{rdf.NoID, rdf.NoID, id(tr.O)})
+		default:
+			if len(pats) > 0 {
+				pats = append(pats, pats[rng.Intn(len(pats))])
+			}
+		}
+	}
+	return pats
+}
+
+// batchOutput collects MatchBatch output per pattern, in emission order.
+func batchOutput(src *LazySource, pats [][3]rdf.ID) [][][3]rdf.ID {
+	out := make([][][3]rdf.ID, len(pats))
+	src.MatchBatch(pats, func(i int, s, p, o rdf.ID) {
+		out[i] = append(out[i], [3]rdf.ID{s, p, o})
+	})
+	return out
+}
+
+// maxUnitBytes decodes every unit of the store once and returns the largest
+// decoded footprint: a cache budget of that size holds one unit.
+func maxUnitBytes(t *testing.T, store *Store) int64 {
+	t.Helper()
+	v, err := store.OpenLazy(CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.MaterializeGraph(1); err != nil {
+		t.Fatal(err)
+	}
+	var max int64
+	for _, lu := range v.units {
+		if lu.decBytes > max {
+			max = lu.decBytes
+		}
+	}
+	return max
+}
+
+// TestLazyMatchBatchParity is the batched-probe property: for random mixed
+// layouts at cache budgets unbounded, an eighth of the decoded footprint, one
+// unit and one byte, MatchBatch's output for each pattern equals the
+// pattern's own ForEachMatchIDs output and the exact ScanRange enumeration,
+// in the same order, and matches the eager merged graph; a batch loads each
+// admitted unit at most once; and no unit's term set ever lacks a term one
+// of its own triples uses.
+func TestLazyMatchBatchParity(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		store := buildScatteredStore(t, rng)
+		withCrossUnitDuplicates(t, store, rng)
+		full := mustMerge(t, store)
+		triples := full.SortedTriples()
+		one := maxUnitBytes(t, store)
+
+		v0, err := store.OpenLazy(CacheConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := v0.MaterializeGraph(1); err != nil {
+			t.Fatal(err)
+		}
+		total := v0.Stats().ResidentBytes
+
+		for _, budget := range []int64{0, total / 8, one, 1} {
+			tag := fmt.Sprintf("seed %d budget %d", seed, budget)
+			v, err := store.OpenLazy(CacheConfig{MaxBytes: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := v.Source(nil)
+			for trial := 0; trial < 6; trial++ {
+				pats := randomBatch(rng, src, triples, 2+rng.Intn(40))
+				before := v.Stats().Misses
+				got := batchOutput(src, pats)
+				if misses := v.Stats().Misses - before; misses > uint64(src.Admitted()) {
+					t.Fatalf("%s: a batch over %d units missed the cache %d times", tag, src.Admitted(), misses)
+				}
+				for i, pat := range pats {
+					var each, scan [][3]rdf.ID
+					src.ForEachMatchIDs(pat[0], pat[1], pat[2], func(s, p, o rdf.ID) bool {
+						each = append(each, [3]rdf.ID{s, p, o})
+						return true
+					})
+					src.ScanRange(pat[0], pat[1], pat[2], 0, src.ScanLen(pat[0], pat[1], pat[2]), func(s, p, o rdf.ID) bool {
+						scan = append(scan, [3]rdf.ID{s, p, o})
+						return true
+					})
+					if fmt.Sprint(got[i]) != fmt.Sprint(each) || fmt.Sprint(got[i]) != fmt.Sprint(scan) {
+						t.Fatalf("%s pattern %d %v: batch %v, ForEachMatchIDs %v, ScanRange %v", tag, i, pat, got[i], each, scan)
+					}
+					sp, pp, op := src.termPtr(pat[0]), src.termPtr(pat[1]), src.termPtr(pat[2])
+					if want := len(full.Find(sp, pp, op)); want != len(got[i]) {
+						t.Fatalf("%s pattern %d %v: %d matches, eager graph has %d", tag, i, pat, len(got[i]), want)
+					}
+				}
+			}
+			if err := src.Err(); err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if budget > 0 && v.Stats().PeakBytes > budget {
+				t.Fatalf("%s: peak %d exceeds budget", tag, v.Stats().PeakBytes)
+			}
+
+			for _, lu := range src.units {
+				du, err := v.loadUnit(lu)
+				if err != nil {
+					t.Fatal(err)
+				}
+				du.snap.ForEachMatchIDs(rdf.NoID, rdf.NoID, rdf.NoID, func(a, b, c rdf.ID) bool {
+					gs, gp, gob := du.toGlobal[a], du.toGlobal[b], du.toGlobal[c]
+					if !src.mayMatch(lu, gs, gp, gob) {
+						t.Fatalf("%s: unit %s reported lacking its own triple %d %d %d", tag, lu.u.path+lu.u.member, gs, gp, gob)
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
+// TestLazyMatchBatchConcurrentResidency is the regression test for the
+// residency hazard: several goroutines run the same batches on one source
+// at a one-unit budget while another goroutine keeps loading units, so
+// residency changes under every batch. Residency may only order a batch's
+// visits; if it decided which units are visited — say, resident ones in one
+// pass and the rest in a second pass — a unit that changed state between
+// the passes would be skipped or read twice and an answer would differ from
+// the serial one.
+func TestLazyMatchBatchConcurrentResidency(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	store := buildScatteredStore(t, rng)
+	withCrossUnitDuplicates(t, store, rng)
+	triples := mustMerge(t, store).SortedTriples()
+	v, err := store.OpenLazy(CacheConfig{MaxBytes: maxUnitBytes(t, store)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := v.Source(nil)
+	var batches [][][3]rdf.ID
+	var want []string
+	for i := 0; i < 8; i++ {
+		pats := randomBatch(rng, src, triples, 24)
+		batches = append(batches, pats)
+		want = append(want, fmt.Sprint(batchOutput(src, pats)))
+	}
+
+	rounds := 300
+	if testing.Short() {
+		rounds = 150
+	}
+	stop := make(chan struct{})
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := v.loadUnit(v.units[i%len(v.units)]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			for r := 0; r < rounds; r++ {
+				b := (g + r) % len(batches)
+				if got := fmt.Sprint(batchOutput(src, batches[b])); got != want[b] {
+					errs <- fmt.Errorf("goroutine %d round %d batch %d: answer differs from the serial one", g, r, b)
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	<-churned
+	if err := src.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if v.Stats().Evictions == 0 {
+		t.Fatal("the churn never evicted: residency did not change")
+	}
+}
+
+// TestLazyScanLenMemoBounded: the view-lifetime scanLens memo must not grow
+// with the number of queries a view serves. Batched join probes never touch
+// it, so serial star joins leave it empty however many run; parallel
+// queries memoize their lead patterns, at most scanLenMemoCap per unit.
+func TestLazyScanLenMemoBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	store := buildScatteredStore(t, rng)
+	v, err := store.OpenLazy(CacheConfig{MaxBytes: maxUnitBytes(t, store)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := func() int {
+		n := 0
+		for _, lu := range v.units {
+			lu.mu.Lock()
+			n += len(lu.scanLens)
+			lu.mu.Unlock()
+		}
+		return n
+	}
+	star := func(i int) string {
+		return fmt.Sprintf(`SELECT ?a ?p ?b ?q ?c WHERE { ?a ?p <urn:n%d> . ?a ?q ?b . ?b ?r ?c }`, i)
+	}
+	run := func(from, to, workers int) {
+		for i := from; i < to; i++ {
+			src := v.Source(nil)
+			queryBytes(t, src, star(i), workers)
+			if err := src.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(0, 10, 1)
+	if n := memo(); n != 0 {
+		t.Fatalf("serial star joins left %d memo entries; probes must not touch the memo", n)
+	}
+	run(0, 40, 1)
+	if n := memo(); n != 0 {
+		t.Fatalf("serial star joins left %d memo entries after 40 queries", n)
+	}
+	limit := scanLenMemoCap * len(v.units)
+	run(0, 2*scanLenMemoCap, 2)
+	first := memo()
+	if first == 0 {
+		t.Fatal("parallel queries memoized no lead pattern: the test exercises nothing")
+	}
+	run(2*scanLenMemoCap, 4*scanLenMemoCap, 2)
+	if n := memo(); n != first || n > limit {
+		t.Fatalf("memo holds %d entries after %d parallel queries, %d after %d (bound %d)",
+			first, 2*scanLenMemoCap, n, 4*scanLenMemoCap, limit)
 	}
 }

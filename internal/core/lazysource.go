@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
 	"github.com/hpc-io/prov-io/internal/rdf/segcodec"
@@ -49,15 +51,52 @@ type lazyUnit struct {
 	packSize  int64              // container size recorded at open (pack members only)
 	packStats *segcodec.SegStats // pack-level stats for whole-pack pruning (nil for loose)
 
+	// terms is the unit's exact term set: the sorted global IDs of every
+	// term its decode interned, recorded at the first decode. Like scanLens
+	// it outlives eviction (re-decodes are deterministic, so it never
+	// changes). A unit whose set lacks a bound pattern ID provably holds no
+	// match, so probes skip it without decoding it and without the Bloom
+	// filter's false positives. nil until the first decode.
+	terms atomic.Pointer[[]rdf.ID]
+
 	mu sync.Mutex
-	// scanLens memoizes global-pattern -> unit morsel-domain size. It lives
-	// on the unit, not the cached decode, because the parallel executor
-	// partitions with ScanLen and later scans morsels with ScanRange: the
-	// domain must not change in between even if the decode was evicted and
-	// rebuilt. (Rebuilds are deterministic, so the memo is consistency
-	// insurance plus a decode-free fast path for repeated patterns.)
+	// scanLens memoizes global-pattern -> unit morsel-domain size for the
+	// ScanLen/ScanRange pair. It lives on the unit, not the cached decode,
+	// so a repeated lead pattern sizes its morsel domain without decoding.
+	// Only ScanLen/ScanRange fill it (probes go through matchBatch), and it
+	// holds at most scanLenMemoCap entries: a dropped entry recomputes to the
+	// same value, because computeUnitScanLen is a pure function of the
+	// unit's immutable contents and statistics.
 	scanLens map[[3]rdf.ID]int
 	decBytes int64 // decoded-footprint estimate, recorded on first decode
+}
+
+// scanLenMemoCap bounds each unit's scanLens memo. A query's morsel
+// partitioning needs one entry per lead pattern, so a small cap keeps the
+// hot patterns while the view's lifetime memory stays independent of how
+// many distinct queries it serves.
+const scanLenMemoCap = 64
+
+// mayMatch is the decode-free admission test of one pattern (rdf.NoID
+// wildcards) against a unit: false proves the unit holds no match. It uses
+// the exact term set once the unit has been decoded and the segment
+// statistics always, so its answer for a given pattern only ever narrows
+// toward the truth and computeUnitScanLen stays a pure function of the unit.
+func (ls *LazySource) mayMatch(lu *lazyUnit, s, p, o rdf.ID) bool {
+	if tp := lu.terms.Load(); tp != nil && !(hasID(*tp, s) && hasID(*tp, p) && hasID(*tp, o)) {
+		return false
+	}
+	return lu.u.stats == nil || lu.u.stats.CanMatch(ls.termPtr(s), ls.termPtr(p), ls.termPtr(o))
+}
+
+// hasID reports whether a sorted term set holds id; the wildcard always
+// matches.
+func hasID(set []rdf.ID, id rdf.ID) bool {
+	if id == rdf.NoID {
+		return true
+	}
+	_, ok := slices.BinarySearch(set, id)
+	return ok
 }
 
 // LazyView is the out-of-core read handle returned by Store.OpenLazy: the
@@ -192,6 +231,11 @@ func (v *LazyView) loadUnit(lu *lazyUnit) (*decodedUnit, error) {
 		toGlobal, toLocal := v.dict.RemapSnapshot(snap)
 		du := &decodedUnit{snap: snap, toGlobal: toGlobal, toLocal: toLocal}
 		du.bytes = decodedBytesEstimate(snap, len(toLocal))
+		if lu.terms.Load() == nil {
+			terms := slices.Clone(toGlobal)
+			slices.Sort(terms)
+			lu.terms.Store(&terms)
+		}
 		lu.mu.Lock()
 		if lu.decBytes == 0 {
 			lu.decBytes = du.bytes
@@ -323,9 +367,9 @@ func mapLocal(du *decodedUnit, g rdf.ID) (rdf.ID, bool) {
 	return l, ok
 }
 
-// unitScanLen returns lu's morsel-domain size for the pattern, memoized for
-// the unit's lifetime. Units whose statistics rule the pattern out answer 0
-// without decoding — the per-unit half of statistics pushdown.
+// unitScanLen returns lu's morsel-domain size for the pattern through the
+// unit's bounded memo. Units whose term set or statistics rule the pattern
+// out answer 0 without decoding — the per-unit half of statistics pushdown.
 func (ls *LazySource) unitScanLen(lu *lazyUnit, s, p, o rdf.ID) int {
 	key := [3]rdf.ID{s, p, o}
 	lu.mu.Lock()
@@ -347,6 +391,12 @@ func (ls *LazySource) unitScanLen(lu *lazyUnit, s, p, o rdf.ID) int {
 	if prev, ok := lu.scanLens[key]; ok {
 		n = prev // first memoized value wins: the domain must never move
 	} else {
+		if len(lu.scanLens) >= scanLenMemoCap {
+			for k := range lu.scanLens { // drop an arbitrary entry
+				delete(lu.scanLens, k)
+				break
+			}
+		}
 		lu.scanLens[key] = n
 	}
 	lu.mu.Unlock()
@@ -354,7 +404,7 @@ func (ls *LazySource) unitScanLen(lu *lazyUnit, s, p, o rdf.ID) int {
 }
 
 func (ls *LazySource) computeUnitScanLen(lu *lazyUnit, s, p, o rdf.ID) (int, error) {
-	if lu.u.stats != nil && !lu.u.stats.CanMatch(ls.termPtr(s), ls.termPtr(p), ls.termPtr(o)) {
+	if !ls.mayMatch(lu, s, p, o) {
 		return 0, nil
 	}
 	du, err := ls.load(lu)
@@ -382,22 +432,9 @@ func (ls *LazySource) computeUnitScanLen(lu *lazyUnit, s, p, o rdf.ID) (int, err
 // list and their immutable contents), which keeps the ScanRange
 // concatenation contract intact under any morsel partitioning.
 func (ls *LazySource) ownedByEarlier(k int, gs, gp, go_ rdf.ID) bool {
-	if k == 0 {
-		return false
-	}
-	var ts, tp, to rdf.Term
-	haveTerms := false
 	for _, uj := range ls.units[:k] {
-		if uj.u.stats != nil {
-			if !haveTerms {
-				ts = ls.view.dict.TermAt(gs)
-				tp = ls.view.dict.TermAt(gp)
-				to = ls.view.dict.TermAt(go_)
-				haveTerms = true
-			}
-			if !uj.u.stats.CanMatch(&ts, &tp, &to) {
-				continue
-			}
+		if !ls.mayMatch(uj, gs, gp, go_) {
+			continue
 		}
 		du, err := ls.load(uj)
 		if err != nil {
@@ -505,9 +542,141 @@ func (ls *LazySource) ScanRange(s, p, o rdf.ID, lo, hi int, fn func(s, p, o rdf.
 }
 
 // ForEachMatchIDs streams every distinct matching triple of the federation
-// in global ID space.
+// in global ID space: a one-pattern batch.
 func (ls *LazySource) ForEachMatchIDs(s, p, o rdf.ID, fn func(s, p, o rdf.ID) bool) {
-	ls.ScanRange(s, p, o, 0, ls.ScanLen(s, p, o), fn)
+	ls.matchBatch([][3]rdf.ID{{s, p, o}}, func(_ int, s, p, o rdf.ID) bool { return fn(s, p, o) })
+}
+
+// MatchBatch streams every match of each pattern pats[i] (rdf.NoID
+// wildcards) to fn(i, s, p, o), visiting each admitted unit at most once for
+// the whole batch — the sparql.BatchSource extension the executor uses for
+// joins, so a batch of probes costs one decode per unit instead of one per
+// row and unit. Per pattern the output is exactly ForEachMatchIDs': unit
+// order, then the unit snapshot's scan order, cross-unit duplicates dropped.
+func (ls *LazySource) MatchBatch(pats [][3]rdf.ID, fn func(i int, s, p, o rdf.ID)) {
+	ls.matchBatch(pats, func(i int, s, p, o rdf.ID) bool {
+		fn(i, s, p, o)
+		return true
+	})
+}
+
+// batchHit is one triple a unit emitted for a distinct pattern of a batch.
+type batchHit struct {
+	pat     int32
+	s, p, o rdf.ID
+}
+
+// batchVisit is one unit a batch reads, with the distinct patterns it may
+// match and its residency, sampled once.
+type batchVisit struct {
+	k        int
+	pats     []int32
+	resident bool
+}
+
+// matchBatch implements MatchBatch and ForEachMatchIDs; fn returning false
+// stops the replay.
+//
+// Identical patterns are probed once. Each unit that may match some pattern
+// (mayMatch) is loaded once and scanned for all of them, resident units
+// first, so a batch never evicts a unit it is about to read; the hits are
+// buffered per unit and replayed in unit order. A triple from unit k is
+// dropped when an earlier unit emitted it for the same pattern. That is the
+// ownedByEarlier rule: an earlier unit holding the triple also matches the
+// pattern, so mayMatch admits it and this batch scans it. Residency is
+// sampled once per unit and only orders the visits — the set of units
+// visited never depends on it, so a concurrent eviction can neither skip a
+// unit nor repeat one.
+func (ls *LazySource) matchBatch(pats [][3]rdf.ID, fn func(i int, s, p, o rdf.ID) bool) {
+	if len(pats) == 0 || ls.view.Err() != nil {
+		return
+	}
+	// uniq holds the distinct patterns; first/next chain the batch indexes
+	// sharing each one in ascending order.
+	var uniq [][3]rdf.ID
+	var first, last []int
+	next := make([]int, len(pats))
+	slot := make(map[[3]rdf.ID]int32, len(pats))
+	for i, pat := range pats {
+		next[i] = -1
+		if u, ok := slot[pat]; ok {
+			next[last[u]] = i
+			last[u] = i
+			continue
+		}
+		slot[pat] = int32(len(uniq))
+		uniq = append(uniq, pat)
+		first = append(first, i)
+		last = append(last, i)
+	}
+
+	var visits []batchVisit
+	for k, lu := range ls.units {
+		var cand []int32
+		for u, pat := range uniq {
+			if ls.mayMatch(lu, pat[0], pat[1], pat[2]) {
+				cand = append(cand, int32(u))
+			}
+		}
+		if len(cand) > 0 {
+			visits = append(visits, batchVisit{k: k, pats: cand})
+		}
+	}
+	if len(visits) > 1 {
+		for i := range visits {
+			visits[i].resident = ls.view.cache.isResident(ls.units[visits[i].k].key)
+		}
+		sort.SliceStable(visits, func(a, b int) bool { return visits[a].resident && !visits[b].resident })
+	}
+
+	hits := make([][]batchHit, len(ls.units))
+	spread := make([]int32, len(uniq)) // units that emitted hits, per pattern
+	for _, vi := range visits {
+		du, err := ls.load(ls.units[vi.k])
+		if err != nil {
+			ls.view.fail(err)
+			return
+		}
+		var hs []batchHit
+		for _, u := range vi.pats {
+			pat := uniq[u]
+			s, okS := mapLocal(du, pat[0])
+			p, okP := mapLocal(du, pat[1])
+			o, okO := mapLocal(du, pat[2])
+			if !okS || !okP || !okO {
+				continue
+			}
+			before := len(hs)
+			du.snap.ForEachMatchIDs(s, p, o, func(a, b, c rdf.ID) bool {
+				hs = append(hs, batchHit{pat: u, s: du.toGlobal[a], p: du.toGlobal[b], o: du.toGlobal[c]})
+				return true
+			})
+			if len(hs) > before {
+				spread[u]++
+			}
+		}
+		hits[vi.k] = hs
+	}
+
+	var seen map[batchHit]struct{}
+	for _, hs := range hits {
+		for _, h := range hs {
+			if spread[h.pat] > 1 {
+				if seen == nil {
+					seen = make(map[batchHit]struct{})
+				}
+				if _, dup := seen[h]; dup {
+					continue
+				}
+				seen[h] = struct{}{}
+			}
+			for i := first[h.pat]; i >= 0; i = next[i] {
+				if !fn(i, h.s, h.p, h.o) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // CountMatchIDs is the planner's cardinality oracle. For a lazy source it

@@ -171,6 +171,15 @@ func (c *segCache) insertLocked(k unitKey, v *decodedUnit) {
 	}
 }
 
+// isResident reports whether k is decoded and cached right now. It is a peek:
+// no counter moves and the CLOCK bit is left alone.
+func (c *segCache) isResident(k unitKey) bool {
+	c.mu.Lock()
+	_, ok := c.slots[k]
+	c.mu.Unlock()
+	return ok
+}
+
 // stats returns a point-in-time counter snapshot.
 func (c *segCache) stats() CacheStats {
 	c.mu.Lock()

@@ -41,6 +41,10 @@ type Tracker struct {
 	// side).
 	render *rdf.TermRenderer
 
+	// flushMu serializes Flush: concurrent canonical rewrites of one
+	// process would otherwise race on removing the same delta segments.
+	flushMu sync.Mutex
+
 	// Flush pipeline state (all guarded by mu).
 	cursor   int   // graph insertion-log position already handed to the store
 	segSeq   int   // next delta segment number
@@ -494,6 +498,8 @@ func (t *Tracker) Flush() error {
 	if t.store == nil {
 		return t.takeDeferred(nil)
 	}
+	t.flushMu.Lock()
+	defer t.flushMu.Unlock()
 	t.waitDrained()
 	// Advance the cursor before snapshotting: triples logged before the
 	// cursor are guaranteed to be in the canonical write below; triples

@@ -337,27 +337,49 @@ func trySet(r idRow, slot int, id rdf.ID) bool {
 	return true
 }
 
-// run joins the scan's pattern against every input row.
+// probe resolves the pattern against an input row into the IDs to scan
+// (rdf.NoID wildcards); live is false when a constant is dead.
+func (cp *compiledPattern) probe(r idRow) (s, p, o rdf.ID, live bool) {
+	s, dead := resolveRef(cp.s, r)
+	if dead {
+		return 0, 0, 0, false
+	}
+	o, dead = resolveRef(cp.o, r)
+	if dead {
+		return 0, 0, 0, false
+	}
+	if cp.p.isVar() {
+		return s, r[cp.p.slot], o, true // NoID when unbound: wildcard
+	}
+	if cp.p.id == rdf.NoID {
+		return 0, 0, 0, false
+	}
+	return s, cp.p.id, o, true
+}
+
+// run joins the scan's pattern against every input row. A source that
+// implements BatchSource gets all live rows' probes in one MatchBatch call
+// when there are at least two of them.
 func (o *scanOp) run(e *executor, in []idRow) ([]idRow, error) {
 	cp := o.cp
+	if bs, ok := e.g.(BatchSource); ok && len(in) >= 2 {
+		pats := make([][3]rdf.ID, 0, len(in))
+		rows := make([]idRow, 0, len(in))
+		for _, r := range in {
+			if s, p, oo, live := cp.probe(r); live {
+				pats = append(pats, [3]rdf.ID{s, p, oo})
+				rows = append(rows, r)
+			}
+		}
+		if len(pats) >= 2 {
+			return o.joinBatch(e, bs, pats, rows), nil
+		}
+	}
 	var out []idRow
 	for _, r := range in {
-		s, dead := resolveRef(cp.s, r)
-		if dead {
+		s, p, oo, live := cp.probe(r)
+		if !live {
 			continue
-		}
-		oo, dead := resolveRef(cp.o, r)
-		if dead {
-			continue
-		}
-		var p rdf.ID
-		if cp.p.isVar() {
-			p = r[cp.p.slot] // NoID when unbound: wildcard
-		} else {
-			if cp.p.id == rdf.NoID {
-				continue
-			}
-			p = cp.p.id
 		}
 		e.g.ForEachMatchIDs(s, p, oo, func(si, pi, oi rdf.ID) bool {
 			nr := e.newRow(r)
@@ -368,6 +390,40 @@ func (o *scanOp) run(e *executor, in []idRow) ([]idRow, error) {
 		})
 	}
 	return out, nil
+}
+
+// joinBatch probes rows[i] with pats[i] in one MatchBatch call and emits the
+// joined rows in input-row order, each row's matches in ForEachMatchIDs
+// order — the same output as the row-at-a-time loop.
+func (o *scanOp) joinBatch(e *executor, bs BatchSource, pats [][3]rdf.ID, rows []idRow) []idRow {
+	type hit struct {
+		row     int
+		s, p, o rdf.ID
+	}
+	var hits []hit
+	start := make([]int, len(rows)+1) // hits per row, then row offsets
+	bs.MatchBatch(pats, func(i int, s, p, o rdf.ID) {
+		hits = append(hits, hit{i, s, p, o})
+		start[i+1]++
+	})
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	// Counting sort by row; MatchBatch keeps each row's matches in order.
+	sorted := make([]hit, len(hits))
+	for _, h := range hits {
+		sorted[start[h.row]] = h
+		start[h.row]++
+	}
+	cp := o.cp
+	out := make([]idRow, 0, len(sorted))
+	for _, h := range sorted {
+		nr := e.newRow(rows[h.row])
+		if trySet(nr, cp.s.slot, h.s) && trySet(nr, cp.p.slot, h.p) && trySet(nr, cp.o.slot, h.o) {
+			out = append(out, nr)
+		}
+	}
+	return out
 }
 
 // run evaluates the property-path pattern for every input row.

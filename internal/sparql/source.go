@@ -52,6 +52,19 @@ type ScanSource interface {
 	ScanRange(s, p, o rdf.ID, lo, hi int, fn func(s, p, o rdf.ID) bool) bool
 }
 
+// BatchSource is an optional Source extension for sources whose probes are
+// cheaper in bulk than one at a time. MatchBatch streams every match of each
+// pattern pats[i] (rdf.NoID wildcards) to fn(i, s, p, o). Per pattern the
+// matches and their order are exactly ForEachMatchIDs'; how patterns
+// interleave is the source's choice. The scan operator hands it all live
+// input rows when there are at least two. core's out-of-core LazySource
+// implements it to read each store unit once per batch instead of once per
+// row; rdf.Graph and rdf.Snapshot do not, since an in-memory probe gains
+// nothing from batching.
+type BatchSource interface {
+	MatchBatch(pats [][3]rdf.ID, fn func(i int, s, p, o rdf.ID))
+}
+
 var (
 	_ Source     = (*rdf.Graph)(nil)
 	_ Source     = (*rdf.Snapshot)(nil)

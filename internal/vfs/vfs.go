@@ -649,15 +649,19 @@ func (f *File) Write(p []byte) (int, error) {
 	if !f.writable() {
 		return 0, &fs.PathError{Op: "write", Path: f.name, Err: ErrReadOnly}
 	}
+	off := f.off
 	if f.flag&O_APPEND != 0 {
-		f.node.mu.Lock()
-		f.off = int64(len(f.node.data))
-		f.node.mu.Unlock()
+		off = appendOffset
 	}
-	n, err := f.writeAtLocked(p, f.off)
-	f.off += int64(n)
+	n, end, err := f.writeAtLocked(p, off)
+	f.off = end
 	return n, err
 }
+
+// appendOffset asks writeAtLocked to write at end of file, resolved under
+// the node lock so concurrent appenders through different handles never
+// claim the same offset.
+const appendOffset = -1
 
 // WriteAt writes p at offset off.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
@@ -669,12 +673,21 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if !f.writable() {
 		return 0, &fs.PathError{Op: "write", Path: f.name, Err: ErrReadOnly}
 	}
-	return f.writeAtLocked(p, off)
+	if off < 0 {
+		return 0, &fs.PathError{Op: "write", Path: f.name, Err: fs.ErrInvalid}
+	}
+	n, _, err := f.writeAtLocked(p, off)
+	return n, err
 }
 
-func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
+// writeAtLocked writes p at off (appendOffset: at end of file) and returns
+// the offset just past the written bytes.
+func (f *File) writeAtLocked(p []byte, off int64) (int, int64, error) {
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
+	if off == appendOffset {
+		off = int64(len(f.node.data))
+	}
 	end := off + int64(len(p))
 	if end > int64(len(f.node.data)) {
 		if end <= int64(cap(f.node.data)) {
@@ -695,7 +708,7 @@ func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
 	}
 	copy(f.node.data[off:end], p)
 	f.view.chargeWrite(int64(len(p)))
-	return len(p), nil
+	return len(p), end, nil
 }
 
 // Seek sets the file offset.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -175,6 +176,9 @@ func TestReadWriteAtAndSeek(t *testing.T) {
 	}
 	if _, err := f.Seek(0, 99); err == nil {
 		t.Error("bad whence allowed")
+	}
+	if _, err := f.WriteAt([]byte("x"), -1); !errors.Is(err, fs.ErrInvalid) {
+		t.Errorf("negative WriteAt: err = %v, want fs.ErrInvalid", err)
 	}
 }
 
