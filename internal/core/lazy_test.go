@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/hpc-io/prov-io/internal/faultfs"
 	"github.com/hpc-io/prov-io/internal/model"
@@ -111,8 +112,8 @@ func multiUnitSubject(t *testing.T, store *Store) rdf.Term {
 			t.Fatal(err)
 		}
 		seen := map[rdf.Term]bool{}
-		du.snap.ForEachMatchIDs(rdf.NoID, rdf.NoID, rdf.NoID, func(s, _, _ rdf.ID) bool {
-			if term := du.snap.TermOf(s); !seen[term] {
+		du.forEach(rdf.NoID, rdf.NoID, rdf.NoID, func(s, _, _ rdf.ID) bool {
+			if term := v.dict.TermAt(s); !seen[term] {
 				seen[term] = true
 				units[term]++
 			}
@@ -658,8 +659,7 @@ func TestLazyMatchBatchParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				du.snap.ForEachMatchIDs(rdf.NoID, rdf.NoID, rdf.NoID, func(a, b, c rdf.ID) bool {
-					gs, gp, gob := du.toGlobal[a], du.toGlobal[b], du.toGlobal[c]
+				du.forEach(rdf.NoID, rdf.NoID, rdf.NoID, func(gs, gp, gob rdf.ID) bool {
 					if !src.mayMatch(lu, gs, gp, gob) {
 						t.Fatalf("%s: unit %s reported lacking its own triple %d %d %d", tag, lu.u.path+lu.u.member, gs, gp, gob)
 					}
@@ -794,5 +794,86 @@ func TestLazyScanLenMemoBounded(t *testing.T) {
 	if n := memo(); n != first || n > limit {
 		t.Fatalf("memo holds %d entries after %d parallel queries, %d after %d (bound %d)",
 			first, 2*scanLenMemoCap, n, 4*scanLenMemoCap, limit)
+	}
+}
+
+// buildLineageStore writes a small multi-process workflow across delta
+// segments, a pack and loose segments: each process writes a file holding a
+// dataset holding an attribute, and reads and derives from the previous
+// process's file, so lineage from any of them crosses units. It returns one
+// file, dataset and attribute node of the middle of the chain.
+func buildLineageStore(t *testing.T) (store *Store, file, dataset, attribute rdf.Term) {
+	t.Helper()
+	store = newBinaryVFSStore(t)
+	for pid := 0; pid < 4; pid++ {
+		cfg := DefaultConfig()
+		cfg.Mode = ModePeriodic
+		cfg.FlushEvery = 3
+		tr := NewTracker(cfg, store, pid)
+		prog := tr.RegisterProgram(fmt.Sprintf("step%d", pid), tr.RegisterUser("alice"))
+		path := fmt.Sprintf("/run/out%d.h5", pid)
+		f := tr.TrackDataObject(model.File, path, path, rdf.Term{}, prog)
+		ds := tr.TrackDataObject(model.Dataset, path+"/d", "d", f, prog)
+		attr := tr.TrackDataObject(model.Attribute, path+"/d/units", "units", ds, prog)
+		tr.TrackIO(model.Write, "H5Dwrite", ds, prog, time.Millisecond, time.Millisecond)
+		tr.TrackIO(model.Write, "H5Awrite", attr, prog, 2*time.Millisecond, time.Millisecond)
+		if pid > 0 {
+			prev := rdf.IRI(model.NodeIRI(model.File, fmt.Sprintf("/run/out%d.h5", pid-1)))
+			tr.TrackIO(model.Read, "H5Dread", prev, prog, 3*time.Millisecond, time.Millisecond)
+			tr.TrackDerivation(f, prev)
+		}
+		if err := tr.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if pid == 1 {
+			file, dataset, attribute = f, ds, attr
+			if _, err := store.PackSegments(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return store, file, dataset, attribute
+}
+
+// TestLazyLineageColdDictionary: lineage must be correct as the first call
+// on a fresh view, when the shared dictionary holds no term yet — roots and
+// relation predicates have to be interned, not looked up. For an attribute,
+// a dataset, a file and an absent root, unbounded and 1–3 hops, at budgets
+// unbounded, one unit and one byte, the lazy answer equals the eager
+// reduction of the merged store.
+func TestLazyLineageColdDictionary(t *testing.T) {
+	store, file, dataset, attribute := buildLineageStore(t)
+	full := mustMerge(t, store)
+	one := maxUnitBytes(t, store)
+	roots := map[string]rdf.Term{
+		"attribute": attribute,
+		"dataset":   dataset,
+		"file":      file,
+		"absent":    rdf.IRI("urn:absent"),
+	}
+	for _, budget := range []int64{0, one, 1} {
+		for name, root := range roots {
+			for hops := 0; hops <= 3; hops++ {
+				tag := fmt.Sprintf("budget %d root %s hops %d", budget, name, hops)
+				want := ntBytes(t, ReduceLineageUncached(full, []rdf.Term{root}, hops))
+				if name != "absent" && len(want) == 0 {
+					t.Fatalf("%s: eager reduction is empty; the store does not exercise lineage", tag)
+				}
+				v, err := store.OpenLazy(CacheConfig{MaxBytes: budget})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, st, err := v.ReduceLineagePruned([]rdf.Term{root}, hops, 2)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if !bytes.Equal(want, ntBytes(t, got)) {
+					t.Fatalf("%s: lazy lineage on a cold view differs from eager:\n got %d triples\nwant %d triples", tag, got.Len(), bytes.Count(want, []byte("\n")))
+				}
+				if budget > 0 && st.CachePeakBytes > budget {
+					t.Fatalf("%s: peak %d exceeds budget", tag, st.CachePeakBytes)
+				}
+			}
+		}
 	}
 }

@@ -18,20 +18,23 @@ import (
 // Out-of-core read path (DESIGN.md "Out-of-core execution"): a LazyView is a
 // long-lived handle on the store's layout at open time that materializes
 // decoded units on demand through the byte-budgeted cache in segcache.go,
-// and LazySource federates the per-unit snapshots behind the sparql.Source
+// and LazySource federates the per-unit tables behind the sparql.Source
 // surface — so the unchanged query engine runs over a store whose resident
 // decoded set is bounded by the cache budget, with statistics pushdown
 // deciding which units are touched at all and the cache deciding which of
 // the touched ones stay decoded.
 //
-// ID bridging: every unit decodes into its own graph with a private, dense
-// local term-ID space. At decode time the unit's terms are interned into the
-// view's shared dictionary (rdf.SharedDict, append-only), producing a
-// local->global slice and a global->local map. Scans emit global IDs, query
-// constants resolve to global IDs, and joins across units just work — the
-// executor never learns the store is not one graph. Because interning
+// One ID space: a unit decodes straight into a table of triples in the
+// view's global ID space (unittable.go). The terms its triples use are
+// interned once into the view's shared dictionary (rdf.SharedDict,
+// append-only), and the segment's local-ID columns are remapped, sorted and
+// deduplicated into SPO, POS and OSP permutations. Scans emit global IDs,
+// query constants resolve to global IDs, and joins across units just work —
+// the executor never learns the store is not one graph. Because interning
 // identical bytes against an append-only dictionary is deterministic, an
-// evicted unit that reloads resumes serving exactly the same global IDs.
+// evicted unit that reloads resumes serving exactly the same rows. Lineage
+// runs in the same space: its BFS is a sequence of batched probes
+// (ReduceLineagePruned).
 
 // ErrStaleView is the classification for a lazy read that found the store
 // layout changed under an open view — a Compact rewrote a canonical file, a
@@ -51,12 +54,12 @@ type lazyUnit struct {
 	packSize  int64              // container size recorded at open (pack members only)
 	packStats *segcodec.SegStats // pack-level stats for whole-pack pruning (nil for loose)
 
-	// terms is the unit's exact term set: the sorted global IDs of every
-	// term its decode interned, recorded at the first decode. Like scanLens
-	// it outlives eviction (re-decodes are deterministic, so it never
-	// changes). A unit whose set lacks a bound pattern ID provably holds no
-	// match, so probes skip it without decoding it and without the Bloom
-	// filter's false positives. nil until the first decode.
+	// terms is the unit's exact term set: the sorted distinct global IDs its
+	// triples use, recorded at the first decode. Like scanLens it outlives
+	// eviction (re-decodes are deterministic, so it never changes). A unit
+	// whose set lacks a bound pattern ID provably holds no match, so probes
+	// skip it without decoding it and without the Bloom filter's false
+	// positives. nil until the first decode.
 	terms atomic.Pointer[[]rdf.ID]
 
 	mu sync.Mutex
@@ -221,19 +224,12 @@ func (v *LazyView) loadUnit(lu *lazyUnit) (*decodedUnit, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := rdf.NewGraph()
-		su := lu.u
-		su.data = data
-		if err := su.decodeInto(v.store, g); err != nil {
-			return nil, err
+		du, err := decodeUnitTable(data, v.dict)
+		if err != nil {
+			return nil, lu.u.decodeErr(err)
 		}
-		snap := g.Snapshot()
-		toGlobal, toLocal := v.dict.RemapSnapshot(snap)
-		du := &decodedUnit{snap: snap, toGlobal: toGlobal, toLocal: toLocal}
-		du.bytes = decodedBytesEstimate(snap, len(toLocal))
 		if lu.terms.Load() == nil {
-			terms := slices.Clone(toGlobal)
-			slices.Sort(terms)
+			terms := slices.Clone(du.terms)
 			lu.terms.Store(&terms)
 		}
 		lu.mu.Lock()
@@ -284,14 +280,14 @@ func (v *LazyView) fetchVerified(lu *lazyUnit) ([]byte, error) {
 	return data, nil
 }
 
-// LazySource federates the view's per-unit snapshots behind the
+// LazySource federates the view's per-unit tables behind the
 // sparql.Source / sparql.ScanSource surface for one query: the admitted
 // unit list is fixed at construction by the same statistics predicate
 // MergePruned uses, so a lazy query touches exactly the units the eager
 // pruned merge would decode.
 //
 // The morsel domain of a pattern is the concatenation of the admitted
-// units' local domains, in unit order. Each domain item is owned by the
+// units' exact match ranges, in unit order. Each domain item is owned by the
 // first admitted unit containing its triple: later units suppress
 // duplicates (an item whose triple an earlier unit also holds emits
 // nothing), which makes the federation's emitted triple set exactly the
@@ -357,16 +353,6 @@ func (ls *LazySource) termPtr(id rdf.ID) *rdf.Term {
 	return &t
 }
 
-// mapLocal translates a global pattern ID into lu's local space; a bound
-// global the unit never interned matches nothing in it.
-func mapLocal(du *decodedUnit, g rdf.ID) (rdf.ID, bool) {
-	if g == rdf.NoID {
-		return rdf.NoID, true
-	}
-	l, ok := du.toLocal[g]
-	return l, ok
-}
-
 // unitScanLen returns lu's morsel-domain size for the pattern through the
 // unit's bounded memo. Units whose term set or statistics rule the pattern
 // out answer 0 without decoding — the per-unit half of statistics pushdown.
@@ -411,19 +397,7 @@ func (ls *LazySource) computeUnitScanLen(lu *lazyUnit, s, p, o rdf.ID) (int, err
 	if err != nil {
 		return 0, err
 	}
-	lsid, ok := mapLocal(du, s)
-	if !ok {
-		return 0, nil
-	}
-	lpid, ok := mapLocal(du, p)
-	if !ok {
-		return 0, nil
-	}
-	loid, ok := mapLocal(du, o)
-	if !ok {
-		return 0, nil
-	}
-	return du.snap.ScanLen(lsid, lpid, loid), nil
+	return du.scanLen(s, p, o), nil
 }
 
 // ownedByEarlier reports whether an admitted unit before index k also holds
@@ -441,19 +415,7 @@ func (ls *LazySource) ownedByEarlier(k int, gs, gp, go_ rdf.ID) bool {
 			ls.view.fail(err)
 			return true // results are discarded once the view is failed
 		}
-		lsid, ok := du.toLocal[gs]
-		if !ok {
-			continue
-		}
-		lpid, ok := du.toLocal[gp]
-		if !ok {
-			continue
-		}
-		loid, ok := du.toLocal[go_]
-		if !ok {
-			continue
-		}
-		if du.snap.CountMatchIDs(lsid, lpid, loid) > 0 {
+		if du.scanLen(gs, gp, go_) > 0 {
 			return true
 		}
 	}
@@ -463,8 +425,8 @@ func (ls *LazySource) ownedByEarlier(k int, gs, gp, go_ rdf.ID) bool {
 // ---- sparql.Source / sparql.ScanSource (structural) ----
 
 // TermID interns t into the view's shared dictionary. Interning always
-// succeeds: a term present in no unit simply maps into no unit's local
-// space, so its patterns scan empty. (Reporting ok=false would require
+// succeeds: a term present in no unit simply appears in no unit's table,
+// so its patterns scan empty. (Reporting ok=false would require
 // proving absence from every unit, which statistics cannot do for all term
 // positions.)
 func (ls *LazySource) TermID(t rdf.Term) (rdf.ID, bool) {
@@ -475,7 +437,7 @@ func (ls *LazySource) TermID(t rdf.Term) (rdf.ID, bool) {
 func (ls *LazySource) TermOf(id rdf.ID) rdf.Term { return ls.view.dict.TermAt(id) }
 
 // ScanLen returns the federated morsel-domain size: the sum of the admitted
-// units' local domains for the pattern.
+// units' exact match counts for the pattern.
 func (ls *LazySource) ScanLen(s, p, o rdf.ID) int {
 	n := 0
 	for _, lu := range ls.units {
@@ -485,9 +447,8 @@ func (ls *LazySource) ScanLen(s, p, o rdf.ID) int {
 }
 
 // ScanRange enumerates [lo, hi) of the federated domain: unit sub-ranges in
-// unit order, local IDs translated to global on emit, duplicate items
-// suppressed by ownership. Concatenating adjacent ranges reproduces the
-// full scan exactly.
+// unit order, duplicate items suppressed by ownership. Concatenating
+// adjacent ranges reproduces the full scan exactly.
 func (ls *LazySource) ScanRange(s, p, o rdf.ID, lo, hi int, fn func(s, p, o rdf.ID) bool) bool {
 	if ls.view.Err() != nil {
 		return true
@@ -514,19 +475,8 @@ func (ls *LazySource) ScanRange(s, p, o rdf.ID, lo, hi int, fn func(s, p, o rdf.
 				ls.view.fail(err)
 				return true
 			}
-			lsid, okS := mapLocal(du, s)
-			lpid, okP := mapLocal(du, p)
-			loid, okO := mapLocal(du, o)
-			if !okS || !okP || !okO {
-				// The memoized domain said n > 0, so the pattern's constants
-				// mapped at memo time; the dictionary is append-only, so they
-				// still do. Defensive only.
-				pos += n
-				continue
-			}
 			unitIdx := k
-			cont := du.snap.ScanRange(lsid, lpid, loid, ulo, uhi, func(a, b, c rdf.ID) bool {
-				gs, gp, gob := du.toGlobal[a], du.toGlobal[b], du.toGlobal[c]
+			cont := du.scanRange(s, p, o, ulo, uhi, func(gs, gp, gob rdf.ID) bool {
 				if ls.ownedByEarlier(unitIdx, gs, gp, gob) {
 					return true
 				}
@@ -552,7 +502,7 @@ func (ls *LazySource) ForEachMatchIDs(s, p, o rdf.ID, fn func(s, p, o rdf.ID) bo
 // the whole batch — the sparql.BatchSource extension the executor uses for
 // joins, so a batch of probes costs one decode per unit instead of one per
 // row and unit. Per pattern the output is exactly ForEachMatchIDs': unit
-// order, then the unit snapshot's scan order, cross-unit duplicates dropped.
+// order, then the unit table's order, cross-unit duplicates dropped.
 func (ls *LazySource) MatchBatch(pats [][3]rdf.ID, fn func(i int, s, p, o rdf.ID)) {
 	ls.matchBatch(pats, func(i int, s, p, o rdf.ID) bool {
 		fn(i, s, p, o)
@@ -640,15 +590,9 @@ func (ls *LazySource) matchBatch(pats [][3]rdf.ID, fn func(i int, s, p, o rdf.ID
 		var hs []batchHit
 		for _, u := range vi.pats {
 			pat := uniq[u]
-			s, okS := mapLocal(du, pat[0])
-			p, okP := mapLocal(du, pat[1])
-			o, okO := mapLocal(du, pat[2])
-			if !okS || !okP || !okO {
-				continue
-			}
 			before := len(hs)
-			du.snap.ForEachMatchIDs(s, p, o, func(a, b, c rdf.ID) bool {
-				hs = append(hs, batchHit{pat: u, s: du.toGlobal[a], p: du.toGlobal[b], o: du.toGlobal[c]})
+			du.forEach(pat[0], pat[1], pat[2], func(s, p, o rdf.ID) bool {
+				hs = append(hs, batchHit{pat: u, s: s, p: p, o: o})
 				return true
 			})
 			if len(hs) > before {
@@ -781,12 +725,7 @@ func (v *LazyView) hydrateUnits(units []*lazyUnit, dst *rdf.Graph, workers int) 
 		if err != nil {
 			return err
 		}
-		ts := make([]rdf.Triple, 0, du.snap.Len())
-		du.snap.ScanRange(rdf.NoID, rdf.NoID, rdf.NoID, 0, du.snap.Len(), func(a, b, c rdf.ID) bool {
-			ts = append(ts, rdf.Triple{S: du.snap.TermOf(a), P: du.snap.TermOf(b), O: du.snap.TermOf(c)})
-			return true
-		})
-		dst.AddBatch(ts)
+		dst.AddBatch(v.triples(du.spo))
 		return nil
 	}
 	if workers <= 1 || len(units) < 2 {
@@ -853,54 +792,87 @@ func (v *LazyView) MaterializeGraph(workers int) (*rdf.Graph, *ScanStats, error)
 	return g, st, nil
 }
 
-// ReduceLineagePruned is Store.ReduceLineagePruned through the view's
-// cache: the same probe-to-fixpoint expansion (identical results), but
-// every decode is cache-served and budget-bounded, and repeated lineage
-// queries on one view reuse resident units.
+// triples rehydrates (s, p, o) global-ID rows into term triples.
+func (v *LazyView) triples(rows [][3]rdf.ID) []rdf.Triple {
+	ts := make([]rdf.Triple, len(rows))
+	for i, t := range rows {
+		ts[i] = rdf.Triple{S: v.dict.TermAt(t[0]), P: v.dict.TermAt(t[1]), O: v.dict.TermAt(t[2])}
+	}
+	return ts
+}
+
+// ReduceLineagePruned answers the lineage question of
+// Store.ReduceLineagePruned (identical results) through the view's cache,
+// in global ID space: the BFS runs level by level, and each level is one
+// batch of probes (n, ?, ?) and (?, ?, n) per frontier node, so a unit is
+// loaded at most once per level and only when its term set and statistics
+// admit a frontier node. A level-synchronous BFS assigns the same depths as
+// the eager FIFO, so the kept set is identical. One final batch of
+// (k, ?, ?) over the kept nodes yields the output: annotation triples of
+// kept nodes, and relation edges whose both ends are kept. Roots and
+// relation predicates are interned, never looked up — the dictionary holds
+// only terms of units decoded so far. The batches run serially; workers is
+// accepted for parity with the eager call.
 func (v *LazyView) ReduceLineagePruned(roots []rdf.Term, maxHops, workers int) (*rdf.Graph, *ScanStats, error) {
-	st := v.newScanStats()
-	loaded := rdf.NewGraph()
-	pending := append([]*lazyUnit(nil), v.units...)
-	probes := append([]rdf.Term(nil), roots...)
-	var reduced *rdf.Graph
-	for {
-		var take, rest []*lazyUnit
-		for _, lu := range pending {
-			want := lu.u.stats == nil
-			if !want {
-				for _, t := range probes {
-					if lu.u.stats.CanContainNode(t) {
-						want = true
-						break
-					}
+	ls := v.Source(nil)
+	relations := make(map[rdf.ID]bool, len(lineageRelations))
+	for _, rel := range lineageRelations {
+		relations[v.dict.Intern(rel)] = true
+	}
+	keep := map[rdf.ID]bool{}
+	var kept []rdf.ID
+	for _, r := range roots {
+		if r.IsZero() {
+			continue
+		}
+		if id := v.dict.Intern(r); !keep[id] {
+			keep[id] = true
+			kept = append(kept, id)
+		}
+	}
+	frontier := kept
+	for depth := 0; len(frontier) > 0 && (maxHops <= 0 || depth < maxHops); depth++ {
+		pats := make([][3]rdf.ID, 0, 2*len(frontier))
+		for _, n := range frontier {
+			pats = append(pats, [3]rdf.ID{n, rdf.NoID, rdf.NoID}, [3]rdf.ID{rdf.NoID, rdf.NoID, n})
+		}
+		next := len(kept)
+		ls.matchBatch(pats, func(i int, s, p, o rdf.ID) bool {
+			if !relations[p] {
+				return true
+			}
+			n := o
+			if i%2 == 1 {
+				n = s
+			}
+			if !keep[n] {
+				if t := v.dict.TermAt(n); t.IsIRI() || t.IsBlank() {
+					keep[n] = true
+					kept = append(kept, n)
 				}
 			}
-			if want {
-				take = append(take, lu)
-			} else {
-				rest = append(rest, lu)
-			}
-		}
-		if len(take) == 0 && reduced != nil {
-			break
-		}
-		pending = rest
-		if len(take) > 0 {
-			if err := v.hydrateUnits(take, loaded, workers); err != nil {
-				return nil, nil, err
-			}
-			st.Decoded += len(take)
-			for _, lu := range take {
-				st.level(lu.u.level).Decoded++
-			}
-		}
-		var kept []rdf.Term
-		reduced, kept = reduceLineageKept(loaded, roots, maxHops)
-		probes = kept
+			return true
+		})
+		frontier = kept[next:]
 	}
-	st.Skipped = st.Units - st.Decoded
-	v.foldCacheStats(st)
-	return reduced, st, nil
+
+	pats := make([][3]rdf.ID, len(kept))
+	for i, k := range kept {
+		pats[i] = [3]rdf.ID{k, rdf.NoID, rdf.NoID}
+	}
+	var rows [][3]rdf.ID
+	ls.matchBatch(pats, func(_ int, s, p, o rdf.ID) bool {
+		if !relations[p] || keep[o] {
+			rows = append(rows, [3]rdf.ID{s, p, o})
+		}
+		return true
+	})
+	if err := v.Err(); err != nil {
+		return nil, nil, err
+	}
+	out := rdf.NewGraph()
+	out.AddBatch(v.triples(rows))
+	return out, ls.Stats(), nil
 }
 
 // LevelResidency is one level's slice of the view's sizing report: what the

@@ -261,21 +261,26 @@ func (u *scanUnit) decodeInto(s *Store, g *rdf.Graph) error {
 	if err != nil {
 		return err
 	}
-	if err := segcodec.Detect(data).Decode(bytes.NewReader(data), g); err != nil {
-		name := u.path
-		if u.member != "" {
-			name += "!" + u.member
-			// Members were decodable when the pack was written, so any decode
-			// failure here is pack damage — classify it as such when the
-			// codec layer hasn't already (a flipped magic byte, for example,
-			// demotes a binary member to a failed text parse).
-			if !errors.Is(err, segcodec.ErrCorrupt) && !errors.Is(err, segcodec.ErrTruncated) {
-				err = fmt.Errorf("%w: %v", segcodec.ErrCorrupt, err)
-			}
-		}
-		return fmt.Errorf("core: parsing %s: %w", name, err)
+	return u.decodeErr(segcodec.Detect(data).Decode(bytes.NewReader(data), g))
+}
+
+// decodeErr names the unit in a decode failure; nil passes through.
+func (u *scanUnit) decodeErr(err error) error {
+	if err == nil {
+		return nil
 	}
-	return nil
+	name := u.path
+	if u.member != "" {
+		name += "!" + u.member
+		// Members were decodable when the pack was written, so any decode
+		// failure here is pack damage — classify it as such when the
+		// codec layer hasn't already (a flipped magic byte, for example,
+		// demotes a binary member to a failed text parse).
+		if !errors.Is(err, segcodec.ErrCorrupt) && !errors.Is(err, segcodec.ErrTruncated) {
+			err = fmt.Errorf("%w: %v", segcodec.ErrCorrupt, err)
+		}
+	}
+	return fmt.Errorf("core: parsing %s: %w", name, err)
 }
 
 // scanUnits lists the store's decodable units, expanding packs into member

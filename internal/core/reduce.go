@@ -164,26 +164,32 @@ func reduceLineageKept(g *rdf.Graph, roots []rdf.Term, maxHops int) (*rdf.Graph,
 	return out, kept
 }
 
-// lineageRelationIDs resolves the traversable relation predicates to their
-// dictionary IDs in the snapshot. prov:wasMemberOf is classification, not
-// lineage — following it would connect every entity through the shared
-// super-class nodes; it is kept as an annotation of retained nodes instead.
-// Predicates absent from the snapshot are simply omitted.
-func lineageRelationIDs(v *rdf.Snapshot) map[rdf.ID]bool {
-	relations := map[rdf.ID]bool{}
-	add := func(t rdf.Term) {
-		if id, ok := v.TermID(t); ok {
-			relations[id] = true
-		}
-	}
+// lineageRelations lists the traversable relation predicates, for every
+// lineage traversal. prov:wasMemberOf is classification, not lineage —
+// following it would connect every entity through the shared super-class
+// nodes; it is kept as an annotation of retained nodes instead.
+var lineageRelations = func() []rdf.Term {
+	var rels []rdf.Term
 	for _, rel := range model.AllRelations() {
-		if rel.IRI() == model.WasMemberOf.IRI() {
-			continue
+		if rel.IRI() != model.WasMemberOf.IRI() {
+			rels = append(rels, rel.IRI())
 		}
-		add(rel.IRI())
 	}
 	for _, rel := range []model.Relation{model.PropType, model.PropConfig, model.PropMetric} {
-		add(rel.IRI())
+		rels = append(rels, rel.IRI())
+	}
+	return rels
+}()
+
+// lineageRelationIDs resolves the lineage relation predicates to their
+// dictionary IDs in the snapshot. Predicates absent from the snapshot are
+// simply omitted.
+func lineageRelationIDs(v *rdf.Snapshot) map[rdf.ID]bool {
+	relations := map[rdf.ID]bool{}
+	for _, rel := range lineageRelations {
+		if id, ok := v.TermID(rel); ok {
+			relations[id] = true
+		}
 	}
 	return relations
 }
@@ -203,14 +209,8 @@ func ReduceLineageLegacy(g *rdf.Graph, roots []rdf.Term, maxHops int) *rdf.Graph
 	}
 
 	relations := map[rdf.Term]bool{}
-	for _, rel := range model.AllRelations() {
-		if rel.IRI() == model.WasMemberOf.IRI() {
-			continue
-		}
-		relations[rel.IRI()] = true
-	}
-	for _, rel := range []model.Relation{model.PropType, model.PropConfig, model.PropMetric} {
-		relations[rel.IRI()] = true
+	for _, rel := range lineageRelations {
+		relations[rel] = true
 	}
 
 	for len(frontier) > 0 {

@@ -1,15 +1,12 @@
 package core
 
-import (
-	"sync"
-
-	"github.com/hpc-io/prov-io/internal/rdf"
-)
+import "sync"
 
 // The decoded-unit cache is the memory governor of the out-of-core read path
 // (DESIGN.md "Out-of-core execution"): a LazyView materializes store units —
-// loose segments and pack members — into decoded, query-ready snapshots on
-// demand, and this cache bounds how many of them stay resident at once.
+// loose segments and pack members — into decoded, query-ready ID tables
+// (unittable.go) on demand, and this cache bounds how many of them stay
+// resident at once.
 //
 // Keying: a unit is identified by (path, member, extent, content digest).
 // The digest binds a cache entry to the exact bytes the view saw when it was
@@ -47,19 +44,6 @@ type unitKey struct {
 	member    string // "" for a loose file
 	off, size int64
 	digest    [32]byte
-}
-
-// decodedUnit is one store unit materialized for querying: its private
-// snapshot plus the bridge between the unit's local term-ID space and the
-// view's shared global dictionary. Both remap directions are immutable once
-// built, and rebuilding from identical bytes against the same (append-only)
-// dictionary reproduces them exactly — so an evicted unit that reloads keeps
-// serving the same global IDs.
-type decodedUnit struct {
-	snap     *rdf.Snapshot
-	toGlobal []rdf.ID          // local ID -> global ID (dense)
-	toLocal  map[rdf.ID]rdf.ID // global ID -> local ID (exactly the unit's terms)
-	bytes    int64             // decoded-footprint estimate the budget charges
 }
 
 // cacheSlot is one resident cache entry plus its CLOCK reference bit.
@@ -202,22 +186,4 @@ func (c *segCache) forEachResident(fn func(k unitKey, bytes int64)) {
 	for k, s := range c.slots {
 		fn(k, s.val.bytes)
 	}
-}
-
-// decodedBytesEstimate charges a decoded unit for what it actually pins:
-// the snapshot's term table (string headers + bytes) and triple refs, plus
-// the remap tables. The estimate is deliberately on the heavy side — the
-// adjacency index a scan builds lazily is proportional to the refs — so a
-// budget of B keeps true resident memory near B rather than a multiple.
-func decodedBytesEstimate(snap *rdf.Snapshot, toLocalLen int) int64 {
-	var b int64
-	n := snap.TermCount()
-	for i := 0; i < n; i++ {
-		t := snap.TermOf(rdf.ID(i))
-		b += 48 + int64(len(t.Value)+len(t.Lang)+len(t.Datatype))
-	}
-	b += int64(snap.Len()) * 64 // refs + lazily built index postings
-	b += int64(n) * 8           // toGlobal
-	b += int64(toLocalLen) * 32 // toLocal map entries
-	return b
 }

@@ -222,20 +222,38 @@ func (binCodec) Decode(r io.Reader, into *rdf.Graph) error {
 	if err != nil {
 		return err
 	}
+	terms, ss, ps, os, err := DecodeSegment(data)
+	if err != nil {
+		return err
+	}
+	materializeTriples(terms, ss, ps, os, into)
+	return nil
+}
+
+// DecodeSegment parses and fully validates a binary segment without
+// building a graph: it returns the segment-local term dictionary and the
+// triples as parallel local-ID columns (triple i is terms[ss[i]],
+// terms[ps[i]], terms[os[i]]). Every check a decode makes happens here —
+// magic, frame CRCs and footer order, ID ranges, the stats frame against
+// the recomputed stats, and RDF shape per triple — so any consumer of the
+// columns sees exactly the segments Decode accepts. A crafted segment may
+// repeat a dictionary term or a triple; consumers dedupe after resolving
+// terms, as graph union does.
+func DecodeSegment(data []byte) (terms []rdf.Term, ss, ps, os []uint32, err error) {
 	if !bytes.HasPrefix(data, pbsMagic) {
 		if len(data) < len(pbsMagic) && bytes.HasPrefix(pbsMagic, data) {
-			return fmt.Errorf("%w inside PBS magic", ErrTruncated)
+			return nil, nil, nil, nil, fmt.Errorf("%w inside PBS magic", ErrTruncated)
 		}
-		return fmt.Errorf("%w: missing PBS magic", ErrCorrupt)
+		return nil, nil, nil, nil, fmt.Errorf("%w: missing PBS magic", ErrCorrupt)
 	}
 	rest := data[len(pbsMagic):]
 	dict, rest, err := readFrame(rest)
 	if err != nil {
-		return fmt.Errorf("%w: dictionary block: %w", ErrCorrupt, err)
+		return nil, nil, nil, nil, fmt.Errorf("%w: dictionary block: %w", ErrCorrupt, err)
 	}
 	cols, rest, err := readFrame(rest)
 	if err != nil {
-		return fmt.Errorf("%w: triple block: %w", ErrCorrupt, err)
+		return nil, nil, nil, nil, fmt.Errorf("%w: triple block: %w", ErrCorrupt, err)
 	}
 	// After the data frames: an optional stats frame, then an optional chain
 	// frame (the integrity seal appended by the store), in that order.
@@ -244,35 +262,33 @@ func (binCodec) Decode(r io.Reader, into *rdf.Graph) error {
 	sawChain := false
 	for len(rest) != 0 {
 		if sawChain {
-			return fmt.Errorf("%w: %d trailing bytes after chain frame", ErrCorrupt, len(rest))
+			return nil, nil, nil, nil, fmt.Errorf("%w: %d trailing bytes after chain frame", ErrCorrupt, len(rest))
 		}
 		var fp []byte
 		fp, rest, err = readFrame(rest)
 		if err != nil {
-			return fmt.Errorf("%w: footer frame: %w", ErrCorrupt, err)
+			return nil, nil, nil, nil, fmt.Errorf("%w: footer frame: %w", ErrCorrupt, err)
 		}
 		switch {
 		case bytes.HasPrefix(fp, staMagic):
 			if statsPayload != nil {
-				return fmt.Errorf("%w: duplicate stats frame", ErrCorrupt)
+				return nil, nil, nil, nil, fmt.Errorf("%w: duplicate stats frame", ErrCorrupt)
 			}
 			statsPayload = fp
 		case bytes.HasPrefix(fp, chainMagic):
 			if _, err := parseChainPayload(fp); err != nil {
-				return fmt.Errorf("%w: chain frame: %v", ErrCorrupt, err)
+				return nil, nil, nil, nil, fmt.Errorf("%w: chain frame: %v", ErrCorrupt, err)
 			}
 			sawChain = true
 		default:
-			return fmt.Errorf("%w: unrecognized footer frame", ErrCorrupt)
+			return nil, nil, nil, nil, fmt.Errorf("%w: unrecognized footer frame", ErrCorrupt)
 		}
 	}
-	terms, err := decodeDict(dict)
-	if err != nil {
-		return fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
+	if terms, err = decodeDict(dict); err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("%w: dictionary block: %v", ErrCorrupt, err)
 	}
-	ss, ps, os, err := decodeCols(cols, terms)
-	if err != nil {
-		return fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
+	if ss, ps, os, err = decodeCols(cols, terms); err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
 	}
 	if statsPayload != nil {
 		// The stats frame must be exactly what the encoder would derive from
@@ -284,13 +300,17 @@ func (binCodec) Decode(r io.Reader, into *rdf.Graph) error {
 		}
 		canon := ComputeStats(terms, tris)
 		if want := canon.encode(); !bytes.Equal(want, statsPayload) {
-			return fmt.Errorf("%w: stats frame does not match segment contents", ErrCorrupt)
+			return nil, nil, nil, nil, fmt.Errorf("%w: stats frame does not match segment contents", ErrCorrupt)
 		}
 	}
-	if err := materializeTriples(terms, ss, ps, os, into); err != nil {
-		return fmt.Errorf("%w: triple block: %v", ErrCorrupt, err)
+	for i := range ss {
+		t := rdf.Triple{S: terms[ss[i]], P: terms[ps[i]], O: terms[os[i]]}
+		if !t.Valid() {
+			return nil, nil, nil, nil, fmt.Errorf("%w: triple block: triple %d is not valid RDF (S kind %d, P kind %d, O kind %d)",
+				ErrCorrupt, i, t.S.Kind, t.P.Kind, t.O.Kind)
+		}
 	}
-	return nil
+	return terms, ss, ps, os, nil
 }
 
 // decodeDict rebuilds the front-coded term dictionary.
@@ -399,25 +419,19 @@ func decodeCols(p []byte, terms []rdf.Term) (ss, ps, os []uint32, err error) {
 	return ss, ps, os, nil
 }
 
-// materializeTriples unions the decoded ID columns into the graph in
-// batches, validating RDF shape per triple.
-func materializeTriples(terms []rdf.Term, ss, ps, os []uint32, into *rdf.Graph) error {
+// materializeTriples unions the decoded ID columns of a validated segment
+// (DecodeSegment) into the graph in batches.
+func materializeTriples(terms []rdf.Term, ss, ps, os []uint32, into *rdf.Graph) {
 	const chunk = 1024
 	batch := make([]rdf.Triple, 0, chunk)
 	for i := range ss {
-		t := rdf.Triple{S: terms[ss[i]], P: terms[ps[i]], O: terms[os[i]]}
-		if !t.Valid() {
-			return fmt.Errorf("triple %d is not valid RDF (S kind %d, P kind %d, O kind %d)",
-				i, t.S.Kind, t.P.Kind, t.O.Kind)
-		}
-		batch = append(batch, t)
+		batch = append(batch, rdf.Triple{S: terms[ss[i]], P: terms[ps[i]], O: terms[os[i]]})
 		if len(batch) == chunk {
 			into.AddBatch(batch)
 			batch = batch[:0]
 		}
 	}
 	into.AddBatch(batch)
-	return nil
 }
 
 // ---- framing and varint primitives ----
