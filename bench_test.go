@@ -17,15 +17,18 @@ package provio_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	provio "github.com/hpc-io/prov-io"
 	"github.com/hpc-io/prov-io/internal/bench"
 	"github.com/hpc-io/prov-io/internal/model"
 	"github.com/hpc-io/prov-io/internal/rdf"
+	"github.com/hpc-io/prov-io/internal/sparql"
 )
 
 func benchScale() bench.Scale {
@@ -185,6 +188,80 @@ func BenchmarkSPARQLLineage(b *testing.B) {
 			b.Fatalf("rows = %d", len(res.Rows))
 		}
 	}
+}
+
+// matchAllStore builds an in-memory .pbs store of four tracked processes
+// (about 40,000 triples) for the match-all query benchmarks.
+func matchAllStore(b *testing.B) *provio.Store {
+	b.Helper()
+	fs := provio.NewMemStore()
+	store, err := provio.NewStore(provio.VFSBackend{View: fs.NewView()}, "/prov", provio.FormatBinary)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := provio.DefaultConfig()
+	cfg.Duration = true
+	for pid := 0; pid < 4; pid++ {
+		tr := provio.NewTracker(cfg, store, pid)
+		prog := tr.RegisterProgram(fmt.Sprintf("p%d", pid), provio.Term{})
+		for i := 0; i < 1000; i++ {
+			obj := tr.TrackDataObject(model.Dataset, fmt.Sprintf("/f%d/d%d", pid, i), "", provio.Term{}, prog)
+			tr.TrackIO(model.Write, "H5Dwrite", obj, prog, 0, time.Duration(i)*time.Microsecond)
+		}
+		if err := tr.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return store
+}
+
+// benchMatchAll runs a match-all query over src and renders the result as
+// W3C results JSON, once per iteration. It calls the executor directly, so
+// the result memo never answers.
+func benchMatchAll(b *testing.B, src func() sparql.ScanSource) {
+	q, err := provio.ParseQuery(`SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, _, err := sparql.EvalParallelOnInfo(src(), q, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := res.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		rows = len(res.Rows)
+	}
+	if rows < 10000 {
+		b.Fatalf("match-all returned %d rows, want tens of thousands", rows)
+	}
+	b.ReportMetric(float64(rows), "rows/op")
+}
+
+// BenchmarkQueryMatchAll measures the finish path of a large answer on the
+// merged graph: the canonical sort of every row, materialization and the
+// results-JSON render.
+func BenchmarkQueryMatchAll(b *testing.B) {
+	g, err := matchAllStore(b).Merge()
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := g.Snapshot()
+	benchMatchAll(b, func() sparql.ScanSource { return snap })
+}
+
+// BenchmarkQueryMatchAllLazy is BenchmarkQueryMatchAll served out of core
+// by a lazy view with an unbounded cache (warm after the first iteration).
+func BenchmarkQueryMatchAllLazy(b *testing.B) {
+	view, err := matchAllStore(b).OpenLazy(provio.CacheConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchMatchAll(b, func() sparql.ScanSource { return view.Source(nil) })
 }
 
 // BenchmarkStoreMerge measures sub-graph merge (parse + union) over per-

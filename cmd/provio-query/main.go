@@ -36,6 +36,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -47,7 +48,12 @@ import (
 	"github.com/hpc-io/prov-io/internal/cli"
 )
 
+// stdout buffers everything the command prints to standard output; every
+// exit path flushes it (fatalf included).
+var stdout = bufio.NewWriter(os.Stdout)
+
 func main() {
+	defer flushStdout()
 	storeSpec := flag.String("store", "", cli.StoreUsage+" (required)")
 	queryFile := flag.String("file", "", "read the query from this file instead of argv")
 	format := flag.String("format", "tsv", "output format: tsv | json (W3C SPARQL results JSON)")
@@ -111,12 +117,12 @@ func main() {
 			if *cacheBytes > 0 {
 				budget = fmt.Sprintf("%d bytes", *cacheBytes)
 			}
-			fmt.Printf("pushdown: %d/%d unit(s) admitted (lazy view, cache %s)\n", src.Admitted(), st.Units, budget)
+			fmt.Fprintf(stdout, "pushdown: %d/%d unit(s) admitted (lazy view, cache %s)\n", src.Admitted(), st.Units, budget)
 			out, err := provio.ExplainQueryWorkersLazy(src, query, *workers)
 			if err != nil {
 				fatalf("%v", err)
 			}
-			fmt.Print(out)
+			fmt.Fprint(stdout, out)
 			return
 		}
 		stopCPU := startCPUProfile(*cpuprofile)
@@ -142,12 +148,12 @@ func main() {
 			fatalf("merge: %v", err)
 		}
 		if *plan {
-			fmt.Printf("pushdown: %s\n", scan)
+			fmt.Fprintf(stdout, "pushdown: %s\n", scan)
 			out, err := provio.ExplainQueryWorkers(g, query, *workers)
 			if err != nil {
 				fatalf("%v", err)
 			}
-			fmt.Print(out)
+			fmt.Fprint(stdout, out)
 			return
 		}
 		stopCPU := startCPUProfile(*cpuprofile)
@@ -170,14 +176,14 @@ func main() {
 	writeMemProfile(*memprofile)
 
 	if *format == "json" {
-		if err := res.WriteJSON(os.Stdout); err != nil {
+		if err := res.WriteJSON(stdout); err != nil {
 			fatalf("%v", err)
 		}
 		return
 	}
 
 	ns := provio.ModelNamespaces()
-	fmt.Println(strings.Join(res.Vars, "\t"))
+	fmt.Fprintln(stdout, strings.Join(res.Vars, "\t"))
 	for _, row := range res.Rows {
 		cells := make([]string, len(res.Vars))
 		for i, v := range res.Vars {
@@ -187,8 +193,9 @@ func main() {
 				cells[i] = "-"
 			}
 		}
-		fmt.Println(strings.Join(cells, "\t"))
+		fmt.Fprintln(stdout, strings.Join(cells, "\t"))
 	}
+	flushStdout() // the rows precede the summary line on a shared terminal
 	fmt.Fprintf(os.Stderr, "%d solution(s) over %d triples; %s; %s\n", len(res.Rows), triples, info.Summary(), scanLine)
 }
 
@@ -237,7 +244,16 @@ func writeMemProfile(path string) {
 	}
 }
 
+// flushStdout writes out buffered standard output, failing the command if
+// that write fails.
+func flushStdout() {
+	if err := stdout.Flush(); err != nil {
+		fatalf("write output: %v", err)
+	}
+}
+
 func fatalf(format string, args ...any) {
+	stdout.Flush() // best effort: the command is already failing
 	fmt.Fprintf(os.Stderr, "provio-query: "+format+"\n", args...)
 	os.Exit(1)
 }

@@ -1,7 +1,9 @@
 package sparql
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -212,34 +214,43 @@ func projectedVars(q *Query) []string {
 	return vars
 }
 
-// compareTerms orders terms: numerics numerically when both are numeric,
-// otherwise by string form. It is a total order on distinct terms —
-// numerically equal but lexically different terms (e.g. "1"^^xsd:integer vs
-// "1.0"^^xsd:double) fall through to the lexical comparison instead of
-// tying. A total order is what makes the finish sort's output a pure
+// termKey is a term's place in the canonical term order, computed once per
+// term so that sorts and MIN/MAX never re-parse or re-render it.
+type termKey struct {
+	num   float64 // numeric value; meaningful when isNum
+	isNum bool
+	str   string // Term.String(), the lexical comparison form
+}
+
+// keyOf computes t's termKey. A NaN value is not ordered numerically: the
+// literal sorts among the non-numeric terms by its lexical form.
+func keyOf(t rdf.Term) termKey {
+	v, ok := numericValue(t)
+	return termKey{num: v, isNum: ok && !math.IsNaN(v), str: t.String()}
+}
+
+// compare is the canonical term order: numeric literals first, by value
+// and then lexical form (so "1"^^xsd:integer and "1.0"^^xsd:double do not
+// tie), then every other term by lexical form. It is a total order on
+// distinct terms, which is what makes the finish sort's output a pure
 // function of the solution multiset (see finishSortKeys).
-func compareTerms(a, b rdf.Term) int {
-	if av, aok := numericValue(a); aok {
-		if bv, bok := numericValue(b); bok {
-			switch {
-			case av < bv:
-				return -1
-			case av > bv:
-				return 1
-			}
-			// equal numerics: fall through to the lexical tie-break
+func (a termKey) compare(b termKey) int {
+	if a.isNum != b.isNum {
+		if a.isNum {
+			return -1
+		}
+		return 1
+	}
+	if a.isNum {
+		if c := cmp.Compare(a.num, b.num); c != 0 {
+			return c
 		}
 	}
-	as, bs := a.String(), b.String()
-	switch {
-	case as < bs:
-		return -1
-	case as > bs:
-		return 1
-	default:
-		return 0
-	}
+	return strings.Compare(a.str, b.str)
 }
+
+// compareTerms orders two terms under the canonical term order.
+func compareTerms(a, b rdf.Term) int { return keyOf(a).compare(keyOf(b)) }
 
 func numericValue(t rdf.Term) (float64, bool) {
 	if !t.IsLiteral() {
@@ -305,19 +316,24 @@ func aggNumeric(t rdf.Term) (i int64, f float64, isInt, ok bool) {
 	return 0, 0, false, false
 }
 
-// foldNumeric folds a multiset of terms for SUM or AVG. The values are
-// summed in compareTerms order — float addition is not associative, so a
-// canonical summation order is required for the engines (which produce rows
-// in different orders) to agree bit-for-bit. An all-integer SUM yields
-// xsd:integer, anything else xsd:decimal; AVG always yields xsd:decimal.
-// The empty sequence yields 0 (per the SPARQL definitions of Sum/Avg);
-// any non-numeric value makes the aggregate error out — ok=false, an
-// unbound output column.
+// foldNumeric folds a multiset of terms for SUM or AVG. The engines produce
+// rows in different orders and must agree bit-for-bit, and float addition
+// is not associative, so a fold with a non-integer operand sums in
+// compareTerms order (wrapping int64 addition needs no order). An
+// all-integer SUM yields xsd:integer, anything else xsd:decimal; AVG always
+// yields xsd:decimal. The empty sequence yields 0 (per the SPARQL
+// definitions of Sum/Avg); any non-numeric value makes the aggregate error
+// out — ok=false, an unbound output column.
 func foldNumeric(fn AggFunc, vals []rdf.Term) (rdf.Term, bool) {
 	if len(vals) == 0 {
 		return rdf.Integer(0), true
 	}
-	sort.SliceStable(vals, func(i, j int) bool { return compareTerms(vals[i], vals[j]) < 0 })
+	for _, t := range vals {
+		if !t.IsLiteral() || (t.Datatype != rdf.XSDInteger && t.Datatype != rdf.XSDLong) {
+			sort.SliceStable(vals, func(i, j int) bool { return compareTerms(vals[i], vals[j]) < 0 })
+			break
+		}
+	}
 	var sumI int64
 	var sumF float64
 	allInt := true
@@ -354,17 +370,7 @@ func finishTermRows(q *Query, project []string, rows []Binding) *Result {
 		rows = dedupeRows(project, rows)
 	}
 	sortRows(rows, finishSortKeys(q, project))
-	if q.Offset > 0 {
-		if q.Offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(rows) {
-		rows = rows[:q.Limit]
-	}
-	return &Result{Vars: project, Rows: rows}
+	return &Result{Vars: project, Rows: clipRows(q, rows)}
 }
 
 // ---- FILTER expression evaluation ----

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/hpc-io/prov-io/internal/rdf"
@@ -11,8 +12,8 @@ import (
 // plan's var→slot table (rdf.NoID = unbound), graph probes go through
 // ForEachMatchIDs, and DISTINCT/ORDER BY/aggregation compare raw IDs. Terms
 // are rehydrated — through a per-query cache — only for FILTER expressions,
-// ORDER BY comparisons between distinct IDs, aggregate arithmetic, and final
-// Result materialization. Fixed-width ID keys also close the
+// the once-per-distinct-ID sort keys, aggregate arithmetic, and final Result
+// materialization. Fixed-width ID keys also close the
 // separator-collision hazard of the legacy evaluator's string rowKey.
 //
 // Every operator of the pipeline is implemented exactly once, as a physOp
@@ -35,26 +36,20 @@ type executor struct {
 	plan  *Plan
 	width int
 	cache map[rdf.ID]rdf.Term
-	// strs caches Term.String() per ID for ORDER BY comparisons — String
-	// re-renders on every call, which would otherwise dominate allocations
-	// when sorting large results.
-	strs map[rdf.ID]string
+	// keys caches termKey per ID for MIN/MAX, which compare every input
+	// row against the running best.
+	keys map[rdf.ID]termKey
 	// arena block-allocates rows: rows are append-only and live until the
 	// Result materializes, so carving them out of shared slabs turns one
 	// heap allocation per row into one per arenaRows rows.
 	arena []rdf.ID
-	// sortHook, when set, replaces the stable sort inside sortRows — the
-	// morsel-parallel path installs its chunked sorter here so the shared
-	// finish path stays identical otherwise. The hook must order rows
-	// exactly as sort.SliceStable with rowLess would.
-	sortHook func(rows []idRow, keys []OrderKey, slots []int)
 }
 
 // newExecutor is the one construction site for executors: serial run,
 // per-worker, and merge executors all go through it, so the arena and
 // term-cache setup cannot drift between paths.
 func newExecutor(g Source, p *Plan) *executor {
-	return &executor{g: g, plan: p, width: len(p.vars), cache: make(map[rdf.ID]rdf.Term)}
+	return &executor{g: g, plan: p, width: len(p.vars), cache: make(map[rdf.ID]rdf.Term), keys: make(map[rdf.ID]termKey)}
 }
 
 // arenaRows is the slab size of the row arena, in rows.
@@ -125,8 +120,7 @@ func (e *executor) finish(rows []idRow) (*Result, error) {
 	if q.Distinct {
 		rows = e.dedupe(rows)
 	}
-	e.sortRows(rows, finishSortKeys(q, p.project))
-	rows = clipIDRows(q, rows)
+	rows = clipRows(q, e.sortRows(rows, finishSortKeys(q, p.project)))
 
 	res := &Result{Vars: p.project, Rows: make([]Binding, 0, len(rows))}
 	for _, r := range rows {
@@ -141,8 +135,8 @@ func (e *executor) finish(rows []idRow) (*Result, error) {
 	return res, nil
 }
 
-// clipIDRows applies OFFSET/LIMIT to ID rows.
-func clipIDRows(q *Query, rows []idRow) []idRow {
+// clipRows applies OFFSET/LIMIT to ID rows or materialized rows.
+func clipRows[R any](q *Query, rows []R) []R {
 	if q.Offset > 0 {
 		if q.Offset >= len(rows) {
 			rows = nil
@@ -270,12 +264,12 @@ func (e *executor) accumulate(spec *aggSpec, st *aggState, r idRow) {
 	case AggSum, AggAvg:
 		st.vals = append(st.vals, id)
 	case AggMin:
-		if !st.has || e.compareIDs(id, st.best) < 0 {
+		if !st.has || e.key(id).compare(e.key(st.best)) < 0 {
 			st.best = id
 		}
 		st.has = true
 	case AggMax:
-		if !st.has || e.compareIDs(id, st.best) > 0 {
+		if !st.has || e.key(id).compare(e.key(st.best)) > 0 {
 			st.best = id
 		}
 		st.has = true
@@ -678,97 +672,101 @@ func (e *executor) dedupe(rows []idRow) []idRow {
 	return out
 }
 
-// compareIDs orders two distinct term IDs with compareTerms semantics,
-// memoizing the rendered string forms. Like compareTerms it is a total
-// order: numerically equal but lexically different terms fall through to
-// the string comparison instead of tying.
-func (e *executor) compareIDs(a, b rdf.ID) int {
-	ta, tb := e.term(a), e.term(b)
-	if av, aok := numericValue(ta); aok {
-		if bv, bok := numericValue(tb); bok {
-			switch {
-			case av < bv:
-				return -1
-			case av > bv:
-				return 1
-			}
-			// equal numerics: fall through to the lexical tie-break
-		}
+// key returns id's termKey through the per-query cache.
+func (e *executor) key(id rdf.ID) termKey {
+	k, ok := e.keys[id]
+	if !ok {
+		k = keyOf(e.term(id))
+		e.keys[id] = k
 	}
-	as, bs := e.termStr(a, ta), e.termStr(b, tb)
-	switch {
-	case as < bs:
-		return -1
-	case as > bs:
-		return 1
-	default:
-		return 0
-	}
+	return k
 }
 
-func (e *executor) termStr(id rdf.ID, t rdf.Term) string {
-	if s, ok := e.strs[id]; ok {
-		return s
+// sortRows returns rows stably ordered by the keys. Each key column is
+// ranked once (rankColumn), then a least-significant-first radix sort — one
+// stable counting pass per column over the ranks — orders a row permutation
+// without comparing terms; ties keep input order. A later key on an
+// already-ranked slot can never break a tie and is skipped.
+func (e *executor) sortRows(rows []idRow, keys []OrderKey) []idRow {
+	var slots []int
+	var desc []bool
+	for _, k := range keys {
+		if s, ok := e.plan.slots[k.Var]; ok && !slices.Contains(slots, s) {
+			slots = append(slots, s)
+			desc = append(desc, k.Desc)
+		}
 	}
-	if e.strs == nil {
-		e.strs = make(map[rdf.ID]string)
+	n := len(rows)
+	if n < 2 || len(slots) == 0 {
+		return rows
 	}
-	s := t.String()
-	e.strs[id] = s
-	return s
+	perm, next := make([]int32, n), make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	rank := make([]uint32, n)
+	for c := len(slots) - 1; c >= 0; c-- {
+		top := e.rankColumn(rows, slots[c], desc[c], rank)
+		start := make([]int, top+2)
+		for _, r := range rank {
+			start[r+1]++
+		}
+		for r := 1; r < len(start); r++ {
+			start[r] += start[r-1]
+		}
+		for _, i := range perm {
+			next[start[rank[i]]] = i
+			start[rank[i]]++
+		}
+		perm, next = next, perm
+	}
+	sorted := make([]idRow, n)
+	for i, p := range perm {
+		sorted[i] = rows[p]
+	}
+	return sorted
 }
 
-// sortRows orders rows by the keys, comparing IDs first (equal IDs are the
-// same term) and rehydrating terms only when IDs differ.
-func (e *executor) sortRows(rows []idRow, keys []OrderKey) {
-	slots := make([]int, len(keys))
-	for i, k := range keys {
-		if s, ok := e.plan.slots[k.Var]; ok {
-			slots[i] = s
-		} else {
-			slots[i] = -1
-		}
-	}
-	if e.sortHook != nil {
-		e.sortHook(rows, keys, slots)
-		return
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return e.rowLess(rows[i], rows[j], keys, slots)
-	})
-}
-
-// rowLess is the sort comparator behind sortRows: a sorts strictly before b
-// under the keys. Ties (all keys compare equal) report false, so stable
-// sorts preserve input order.
-func (e *executor) rowLess(ra, rb idRow, keys []OrderKey, slots []int) bool {
-	for ki, k := range keys {
-		s := slots[ki]
-		a, b := rdf.NoID, rdf.NoID
-		if s >= 0 {
-			a, b = ra[s], rb[s]
-		}
-		aok, bok := a != rdf.NoID, b != rdf.NoID
-		if !aok && !bok {
+// rankColumn writes each row's canonical rank in slot to rank and returns
+// the largest rank. The column's distinct bound IDs are keyed once
+// (termKey), sorted and numbered densely from 1: equal keys share a rank
+// and unbound is 0. DESC reverses the numbering, so unbound sorts last.
+func (e *executor) rankColumn(rows []idRow, slot int, desc bool, rank []uint32) uint32 {
+	pos := make(map[rdf.ID]uint32) // ID → 1-based first-appearance number
+	var ids []rdf.ID
+	for i, r := range rows {
+		id := r[slot]
+		if id == rdf.NoID {
+			rank[i] = 0
 			continue
 		}
-		if !aok {
-			return !k.Desc // unbound sorts first ascending
+		x, ok := pos[id]
+		if !ok {
+			ids = append(ids, id)
+			x = uint32(len(ids))
+			pos[id] = x
 		}
-		if !bok {
-			return k.Desc
-		}
-		if a == b {
-			continue
-		}
-		c := e.compareIDs(a, b)
-		if c == 0 {
-			continue
-		}
-		if k.Desc {
-			return c > 0
-		}
-		return c < 0
+		rank[i] = x
 	}
-	return false
+	keys := make([]termKey, len(ids))
+	order := make([]uint32, len(ids))
+	for j, id := range ids {
+		keys[j], order[j] = keyOf(e.term(id)), uint32(j)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return keys[a].compare(keys[b]) })
+	rankOf := make([]uint32, len(ids)+1) // by appearance number; [0] = unbound
+	var top uint32
+	for j, x := range order {
+		if j == 0 || keys[order[j-1]].compare(keys[x]) != 0 {
+			top++
+		}
+		rankOf[x+1] = top
+	}
+	for i, x := range rank {
+		rank[i] = rankOf[x]
+		if desc {
+			rank[i] = top - rank[i]
+		}
+	}
+	return top
 }

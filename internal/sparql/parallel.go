@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -46,8 +45,6 @@ const (
 	// costs are skewed (one subject with a huge join fan-out).
 	minMorsel = 64
 	maxMorsel = 8192
-	// minParallelSort is the smallest row count worth a parallel sort.
-	minParallelSort = 4096
 )
 
 // parTask is one independent pipeline of a decomposed plan. Exactly one of
@@ -301,14 +298,9 @@ func runPlanParallelInfo(src ScanSource, p *Plan, workers int) (*Result, ExecInf
 		rows = append(rows, b...)
 	}
 
-	// The merge executor runs the shared finish path — aggregation, final
-	// DISTINCT, sort, OFFSET/LIMIT, materialization — with the chunked
-	// parallel sorter installed.
-	me := newExecutor(src, p)
-	me.sortHook = func(rs []idRow, keys []OrderKey, slots []int) {
-		parallelSort(src, p, workers, rs, keys, slots)
-	}
-	res, err := me.finish(rows)
+	// The merge executor runs the shared finish path: aggregation, final
+	// DISTINCT, sort, OFFSET/LIMIT, materialization.
+	res, err := newExecutor(src, p).finish(rows)
 	return res, ExecInfo{Workers: workers, Parallel: true, Tasks: len(dec.tasks)}, err
 }
 
@@ -338,88 +330,4 @@ func runMorsel(e *executor, src ScanSource, t parTask, m morselRef, seed idRow) 
 		})
 		return e.runOps(t.rest, cur)
 	}
-}
-
-// parallelSort orders rows exactly as sort.SliceStable with the executor
-// comparator would: the slice is cut into contiguous chunks, each chunk is
-// stably sorted by its own goroutine (with a private executor — the term
-// caches the comparator fills are not thread-safe), and adjacent chunks are
-// stably merged pairwise, left side winning ties. A stable sort order is
-// unique for a fixed comparator and input order, so the result is
-// bit-identical to the serial sort.
-func parallelSort(src ScanSource, p *Plan, workers int, rows []idRow, keys []OrderKey, slots []int) {
-	n := len(rows)
-	if n < minParallelSort || workers <= 1 {
-		e := newExecutor(src, p)
-		sort.SliceStable(rows, func(i, j int) bool { return e.rowLess(rows[i], rows[j], keys, slots) })
-		return
-	}
-	chunks := workers
-	if chunks > n {
-		chunks = n
-	}
-	bounds := make([]int, chunks+1)
-	for i := 0; i <= chunks; i++ {
-		bounds[i] = i * n / chunks
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < chunks; i++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			e := newExecutor(src, p)
-			part := rows[lo:hi]
-			sort.SliceStable(part, func(i, j int) bool { return e.rowLess(part[i], part[j], keys, slots) })
-		}(bounds[i], bounds[i+1])
-	}
-	wg.Wait()
-
-	// Pairwise merge rounds until one run remains.
-	buf := make([]idRow, n)
-	for len(bounds) > 2 {
-		var nb []int
-		nb = append(nb, bounds[0])
-		var mwg sync.WaitGroup
-		for i := 0; i+2 < len(bounds); i += 2 {
-			mwg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mwg.Done()
-				e := newExecutor(src, p)
-				mergeRuns(e, rows, buf, lo, mid, hi, keys, slots)
-			}(bounds[i], bounds[i+1], bounds[i+2])
-			nb = append(nb, bounds[i+2])
-		}
-		if len(bounds)%2 == 0 {
-			// Odd run count: the trailing run rides along unmerged.
-			nb = append(nb, bounds[len(bounds)-1])
-		}
-		mwg.Wait()
-		bounds = nb
-	}
-}
-
-// mergeRuns stably merges rows[lo:mid] and rows[mid:hi] in place (via buf),
-// taking from the left run on ties so the merge preserves input order.
-func mergeRuns(e *executor, rows, buf []idRow, lo, mid, hi int, keys []OrderKey, slots []int) {
-	i, j, k := lo, mid, lo
-	for i < mid && j < hi {
-		// Left wins unless right is strictly less: stability.
-		if e.rowLess(rows[j], rows[i], keys, slots) {
-			buf[k] = rows[j]
-			j++
-		} else {
-			buf[k] = rows[i]
-			i++
-		}
-		k++
-	}
-	for i < mid {
-		buf[k] = rows[i]
-		i, k = i+1, k+1
-	}
-	for j < hi {
-		buf[k] = rows[j]
-		j, k = j+1, k+1
-	}
-	copy(rows[lo:hi], buf[lo:hi])
 }

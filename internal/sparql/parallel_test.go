@@ -152,10 +152,11 @@ func TestParallelParityStructured(t *testing.T) {
 	}
 }
 
-// TestParallelSortLargeResult pushes the result set past minParallelSort so
-// the chunked stable sort + pairwise merge path actually runs, and checks
-// bit-identical output (the stable order is unique, so any instability or
-// merge tie-break bug shows up as a diff).
+// TestParallelSortLargeResult sorts 6,000 rows with only five distinct ORDER
+// BY values, so nearly every comparison is a tie the projected tie-breaker
+// keys must settle, and checks that every worker count yields Eval's exact
+// rows: the row order must depend on the row multiset alone, not on the
+// order the morsels delivered the rows in.
 func TestParallelSortLargeResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := rdf.NewGraph()
